@@ -51,9 +51,11 @@ ingest-race:
 
 # The parallel-scoring equivalence suite under the race detector — the
 # bit-identical-to-sequential guarantee of the §6.3/§6.5 scoring engine
-# (docs/ARCHITECTURE.md "Scoring engine").
+# (docs/ARCHITECTURE.md "Scoring engine"), the one-pass heterogeneity
+# scorer against its two-pass reference, the equal-value shortcut's
+# exactness and the bit-parallel OSA kernel against its DP.
 score-race:
-	$(GO) test -race -run 'TestParallelScore|TestEntropyDeterministic|TestSoftCosineDeterministic|TestIntoVariantsMatch|TestHybridIntoVariantsMatch|TestEvaluateAllParallel' \
+	$(GO) test -race -run 'TestParallelScore|TestValueSimShortcutExact|TestOSAKernelKnown|TestEntropyDeterministic|TestSoftCosineDeterministic|TestIntoVariantsMatch|TestHybridIntoVariantsMatch|TestEvaluateAllParallel' \
 		./internal/dedup ./internal/simil ./internal/hetero ./internal/plaus ./internal/core
 
 # The blocking-layer equivalence suite under the race detector — the
@@ -119,6 +121,7 @@ FUZZ_TARGETS = \
 	FuzzLoadSegmented:./internal/docstore \
 	FuzzStringKernels:./internal/simil \
 	FuzzTokenKernels:./internal/simil \
+	FuzzOSAKernel:./internal/simil \
 	FuzzProvenanceDecode:./internal/provenance \
 	FuzzChainVerify:./internal/provenance
 

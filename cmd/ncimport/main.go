@@ -94,7 +94,7 @@ func main() {
 		metricsAddr  = flag.String("metrics-addr", "", "serve GET /metrics with ingest counters on this address during the import (e.g. :9090)")
 		delta        = flag.Bool("delta", false, "incremental import: diff snapshots against the continued store, rescore only dirty clusters, rewrite only dirty segments")
 		stride       = flag.Int("stride", 0, "stable segment layout: documents per segment (0 = balanced layout; required > 0 by -delta)")
-		verbose      = flag.Bool("v", false, "print per-stage wall times (load, parse+merge, score, persist)")
+		verbose      = flag.Bool("v", false, "print per-stage wall times (load, index, parse+merge, plausibility, heterogeneity, persist)")
 	)
 	flag.Parse()
 	if *delta && *stride <= 0 {
@@ -190,10 +190,8 @@ func main() {
 		if *scores {
 			dirty := merged.Dirty()
 			fmt.Printf("recomputing scores for %d dirty clusters ...\n", len(dirty))
-			timed("score", func() {
-				plaus.UpdateDelta(ds, merged, *workers)
-				hetero.UpdateDelta(ds, merged, *workers)
-			})
+			timed("plausibility", func() { plaus.UpdateDelta(ds, merged, *workers) })
+			timed("heterogeneity", func() { hetero.UpdateDelta(ds, merged, *workers) })
 			metrics.AddN("delta_clusters_rescored", int64(len(dirty)))
 		}
 		version := ds.Publish()
@@ -229,12 +227,10 @@ func main() {
 		})
 	}
 	if *scores {
-		timed("score", func() {
-			fmt.Println("computing plausibility scores ...")
-			plaus.UpdateParallel(ds, *workers)
-			fmt.Println("computing heterogeneity scores ...")
-			hetero.UpdateParallel(ds, *workers)
-		})
+		fmt.Println("computing plausibility scores ...")
+		timed("plausibility", func() { plaus.UpdateParallel(ds, *workers) })
+		fmt.Println("computing heterogeneity scores ...")
+		timed("heterogeneity", func() { hetero.UpdateParallel(ds, *workers) })
 	}
 	version := ds.Publish()
 	// Segmented parallel save plus a provenance stamp: segment files, a
@@ -260,7 +256,7 @@ func printStageTimings(verbose bool, order []string, stages map[string]time.Dura
 	}
 	fmt.Println("stage timings:")
 	for _, name := range order {
-		fmt.Printf("  %-12s %10.3fs\n", name, stages[name].Seconds())
+		fmt.Printf("  %-14s %10.3fs\n", name, stages[name].Seconds())
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/voter"
@@ -85,6 +87,95 @@ func TestParallelIncrementalAcrossVersions(t *testing.T) {
 	}
 	if s, _ := c.PairScore("k", 3, 0); s != 0.25 {
 		t.Errorf("new pair = %v", s)
+	}
+}
+
+// refScoreCluster is the single-kind cluster scorer that UpdateScoresKinds
+// replaced, kept as the reference of its differential test.
+func refScoreCluster(c *Cluster, kind string, scorer PairScorer) {
+	vm := c.SimMaps[kind]
+	if vm == nil {
+		vm = VersionSimMap{}
+		c.SimMaps[kind] = vm
+	}
+	from := c.scoredThrough(kind)
+	for i := from; i < len(c.Records); i++ {
+		if i == 0 {
+			continue
+		}
+		version := c.Records[i].FirstVersion
+		byI := vm[version]
+		if byI == nil {
+			byI = map[int]map[int]float64{}
+			vm[version] = byI
+		}
+		row := map[int]float64{}
+		for j := 0; j < i; j++ {
+			row[j] = scorer(c.Records[i].Rec, c.Records[j].Rec)
+		}
+		byI[i] = row
+	}
+}
+
+// TestParallelScoreKindsMatchesPerKind pins the multi-kind engine to one
+// reference pass per kind over the worker ladder {1, 2, 7, GOMAXPROCS},
+// on snapshots that add records between updates and with the two kinds
+// scored through different record indices before the last update.
+func TestParallelScoreKindsMatchesPerKind(t *testing.T) {
+	paths := writeSnapshotFiles(t, 23, 80, 4)
+	last := func(a, b voter.Record) float64 {
+		if a.Values[voter.IdxLastName] == b.Values[voter.IdxLastName] {
+			return 1
+		}
+		return 0.25
+	}
+	first := func(a, b voter.Record) float64 {
+		return float64(len(a.Values[voter.IdxFirstName])%7+len(b.Values[voter.IdxFirstName])%5) / 12
+	}
+	kinds := []string{"k_last", "k_first"}
+	both := func() KindsScorer {
+		return func(a, b voter.Record, out []float64) { out[0], out[1] = last(a, b), first(a, b) }
+	}
+	// run imports the first n files and scores both kinds after the second
+	// and fourth file, the first kind alone after the third.
+	run := func(n int, update func(d *Dataset)) *Dataset {
+		d := NewDataset(RemoveTrimmed)
+		for i, p := range paths[:n] {
+			if _, err := d.ImportSnapshotFile(p); err != nil {
+				t.Fatal(err)
+			}
+			switch i {
+			case 1, 3:
+				update(d)
+			case 2:
+				for _, c := range d.clusters {
+					refScoreCluster(c, kinds[0], last)
+				}
+			}
+		}
+		return d
+	}
+	ref := func(d *Dataset) {
+		for _, id := range d.order {
+			refScoreCluster(d.clusters[id], kinds[0], last)
+			refScoreCluster(d.clusters[id], kinds[1], first)
+		}
+	}
+	mixed := 0
+	for _, c := range run(3, ref).clusters {
+		if from := c.scoredThrough(kinds[1]); from > 1 && from < c.scoredThrough(kinds[0]) {
+			mixed++
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("fixture has no cluster whose kinds are scored through different records")
+	}
+	want := run(len(paths), ref)
+	for _, w := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
+		got := run(len(paths), func(d *Dataset) { d.UpdateScoresKinds(kinds, both, w, nil) })
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("workers=%d: multi-kind scoring diverged from per-kind scoring", w)
+		}
 	}
 }
 

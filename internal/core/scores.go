@@ -20,6 +20,12 @@ const (
 	AggMean
 )
 
+// KindsScorer scores two records of the same cluster under several score
+// kinds at once, writing out[k] for the k-th kind of the UpdateScoresKinds
+// call. One call can share work between kinds — both heterogeneity maps
+// are weighted averages of one per-column similarity vector.
+type KindsScorer func(a, b voter.Record, out []float64)
+
 // UpdateScores incrementally computes the version-similarity map of the
 // given kind (Fig. 2, step 2): for every record not yet scored it computes
 // the similarity to all previously existing records of the same cluster and
@@ -36,14 +42,7 @@ func (d *Dataset) UpdateScores(kind string, scorer PairScorer) {
 // Because scoreCluster only ever computes missing pairs, scoring a subset
 // now and the rest later yields the same maps as scoring everything at once.
 func (d *Dataset) UpdateScoresOn(kind string, scorer PairScorer, ncids []string) {
-	if ncids == nil {
-		ncids = d.order
-	}
-	for _, id := range ncids {
-		if c := d.clusters[id]; c != nil {
-			scoreCluster(c, kind, scorer)
-		}
-	}
+	d.UpdateScoresParallelFactoryOn(kind, func() PairScorer { return scorer }, 1, ncids)
 }
 
 // scoredThrough returns the first record index of the cluster that has no

@@ -83,8 +83,8 @@ func TestParallelScoreHeteroDeterministic(t *testing.T) {
 }
 
 // TestParallelScoreHeteroScratchMatchesPlain pins the bit-identity of the
-// allocation-free scoring path against the plain one, both per value and per
-// record pair.
+// allocation-free scoring path (the engine's per-worker scorer) against the
+// plain one, both per value and per record pair.
 func TestParallelScoreHeteroScratchMatchesPlain(t *testing.T) {
 	vals := []string{"", "SMITH", "smith", "SMYTH", "ANH THI", "THI ANH", "CHRISTOPHER LEE", "KRISTOFFER L", "O'BRIEN", "NGUYEN"}
 	var sc simil.Scratch
@@ -100,14 +100,14 @@ func TestParallelScoreHeteroScratchMatchesPlain(t *testing.T) {
 
 	d := varietyDataset(t)
 	s := NewScorer(AllColumns(), DatasetWeights(d, AllColumns()))
-	ss := &scorerScratch{}
+	score := s.CorePairScorerFactory()()
 	d.Clusters(func(c *core.Cluster) bool {
 		for i := 1; i < len(c.Records); i++ {
 			a, b := c.Records[i].Rec, c.Records[i-1].Rec
 			want := s.PairSim(a, b)
-			got := s.pairSimInto(a, b, ss)
+			got := score(a, b)
 			if math.Float64bits(want) != math.Float64bits(got) {
-				t.Fatalf("pairSimInto = %v, want %v (cluster %s)", got, want, c.NCID)
+				t.Fatalf("scratch scorer = %v, want %v (cluster %s)", got, want, c.NCID)
 			}
 		}
 		return true
@@ -151,13 +151,12 @@ func assertSameScores(t *testing.T, ref, got *core.Dataset, workers int) {
 
 func BenchmarkPersonPairSimScratch(b *testing.B) {
 	d := buildDataset(&testing.T{})
-	s := NewScorer(PersonColumns(), DatasetWeights(d, PersonColumns()))
-	ss := &scorerScratch{}
+	score := NewScorer(PersonColumns(), DatasetWeights(d, PersonColumns())).CorePairScorerFactory()()
 	a := d.Cluster("DIRTY").Records[0].Rec
 	c := d.Cluster("DIRTY").Records[1].Rec
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.pairSimInto(a, c, ss)
+		score(a, c)
 	}
 }

@@ -17,25 +17,41 @@ import (
 )
 
 // ValueSim returns the similarity of two attribute values: the mean of the
-// four comparisons described above. Two empty values are identical (1).
+// four comparisons described above. Two empty values are identical (1). It
+// is ValueSimInto with a fresh Scratch.
 func ValueSim(a, b string) float64 {
-	la, lb := strings.ToLower(a), strings.ToLower(b)
-	s := simil.DamerauLevenshteinSimilarity(a, b)
-	s += simil.DamerauLevenshteinSimilarity(la, lb)
-	s += simil.MongeElkanDL(a, b)
-	s += simil.MongeElkanDL(la, lb)
-	return s / 4
+	var sc simil.Scratch
+	return ValueSimInto(a, b, &sc)
 }
 
-// ValueSimInto is ValueSim through caller-owned scratch buffers: the same
-// four comparisons in the same order, with the DP rows and token slices
-// reused across calls. Results match ValueSim bit for bit.
+// ValueSimInto is ValueSim through caller-owned scratch buffers, with the DP
+// rows and token slices reused across calls.
+//
+// Equal values skip the kernels. Every kernel scores two identical strings
+// exactly 1 (FuzzStringKernels pins this, the empty string included), so
+// a == b returns 1, and values equal after lowercasing add a literal 1 in
+// place of each lowercase comparison, in the same summation order. The
+// result is bit-identical to running all four comparisons
+// (TestValueSimShortcutExact); over duplicate pairs of a voter register
+// about three quarters of the compared values are byte-equal.
 func ValueSimInto(a, b string, sc *simil.Scratch) float64 {
+	if a == b {
+		return 1
+	}
 	la, lb := strings.ToLower(a), strings.ToLower(b)
+	caseOnly := la == lb
 	s := simil.DamerauLevenshteinSimilarityInto(a, b, sc)
-	s += simil.DamerauLevenshteinSimilarityInto(la, lb, sc)
+	if caseOnly {
+		s++
+	} else {
+		s += simil.DamerauLevenshteinSimilarityInto(la, lb, sc)
+	}
 	s += simil.MongeElkanDLInto(a, b, sc)
-	s += simil.MongeElkanDLInto(la, lb, sc)
+	if caseOnly {
+		s++
+	} else {
+		s += simil.MongeElkanDLInto(la, lb, sc)
+	}
 	return s / 4
 }
 
@@ -107,52 +123,75 @@ func (s *Scorer) PairSim(a, b voter.Record) float64 {
 	return PairSim(s.extract(a), s.extract(b), s.weights)
 }
 
-// CorePairScorer adapts the scorer to core's registration interface.
-func (s *Scorer) CorePairScorer() core.PairScorer {
-	return func(a, b voter.Record) float64 { return s.PairSim(a, b) }
-}
-
-// scorerScratch is the per-worker mutable state of the allocation-free
-// scoring path: kernel scratch plus the extracted value and score slices.
-type scorerScratch struct {
-	sc     simil.Scratch
-	va, vb []string
-	scores []float64
-}
-
-// extractInto is extract with a reused destination slice.
-func (s *Scorer) extractInto(r voter.Record, dst []string) []string {
-	dst = dst[:0]
-	for _, c := range s.cols {
-		dst = append(dst, strings.TrimSpace(r.Values[c]))
-	}
-	return dst
-}
-
-// pairSimInto scores one record pair through the scratch. The accumulation
-// order matches PairSim exactly (per-column ValueSim, then WeightedAverage),
-// so the result is bit-identical.
-func (s *Scorer) pairSimInto(a, b voter.Record, ss *scorerScratch) float64 {
-	ss.va = s.extractInto(a, ss.va)
-	ss.vb = s.extractInto(b, ss.vb)
-	if cap(ss.scores) < len(s.cols) {
-		ss.scores = make([]float64, len(s.cols))
-	}
-	ss.scores = ss.scores[:len(s.cols)]
-	for i := range ss.va {
-		ss.scores[i] = ValueSimInto(ss.va[i], ss.vb[i], &ss.sc)
-	}
-	return simil.WeightedAverage(ss.scores, s.weights)
-}
-
 // CorePairScorerFactory returns a factory producing one allocation-free
 // scorer per worker for core.UpdateScoresParallelFactory: each returned
 // PairScorer owns private scratch buffers, so it must not be shared between
-// goroutines, and scores equal PairSim's bit for bit.
+// goroutines, and scores equal PairSim's bit for bit. It is the one-kind
+// case of the scorer UpdateParallel runs.
 func (s *Scorer) CorePairScorerFactory() func() core.PairScorer {
+	vs := &vectorScorer{cols: s.cols, kinds: []kindWeights{{pos: positions(s.cols, s.cols), weights: s.weights}}}
 	return func() core.PairScorer {
-		ss := &scorerScratch{}
-		return func(a, b voter.Record) float64 { return s.pairSimInto(a, b, ss) }
+		score := vs.newScorer()
+		out := make([]float64, 1)
+		return func(a, b voter.Record) float64 {
+			score(a, b, out)
+			return out[0]
+		}
+	}
+}
+
+// vectorScorer scores a record pair as one ValueSim vector over cols and
+// folds that vector into one weighted average per score kind.
+type vectorScorer struct {
+	cols  []int
+	kinds []kindWeights
+}
+
+// kindWeights selects one kind's columns from the vector, as positions into
+// vectorScorer.cols in the kind's own column order, with their weights.
+type kindWeights struct {
+	pos     []int
+	weights []float64
+}
+
+// positions returns the position in cols of each column of sub.
+func positions(cols, sub []int) []int {
+	at := make(map[int]int, len(cols))
+	for i, c := range cols {
+		if _, dup := at[c]; !dup {
+			at[c] = i
+		}
+	}
+	pos := make([]int, len(sub))
+	for i, c := range sub {
+		p, ok := at[c]
+		if !ok {
+			panic("hetero: column outside the scored set")
+		}
+		pos[i] = p
+	}
+	return pos
+}
+
+// newScorer returns one worker's allocation-free core.KindsScorer. Each
+// kind's average is simil.WeightedAverage over its columns in its own
+// order, as a per-kind Scorer would compute it, so every score equals that
+// Scorer's PairSim bit for bit.
+func (v *vectorScorer) newScorer() core.KindsScorer {
+	var sc simil.Scratch
+	sims := make([]float64, len(v.cols))
+	sub := make([]float64, len(v.cols))
+	return func(a, b voter.Record, out []float64) {
+		for i, c := range v.cols {
+			sims[i] = ValueSimInto(strings.TrimSpace(a.Values[c]), strings.TrimSpace(b.Values[c]), &sc)
+		}
+		for k, kw := range v.kinds {
+			scores := sub[:len(kw.pos)]
+			for i, p := range kw.pos {
+				scores[i] = sims[p]
+			}
+			out[k] = simil.WeightedAverage(scores, kw.weights)
+		}
 	}
 }
 
@@ -161,17 +200,28 @@ func (s *Scorer) CorePairScorerFactory() func() core.PairScorer {
 // uniqueness estimate (an otherwise unique id occurs multiple times), so
 // only cluster representatives contribute (§6.3).
 func DatasetWeights(d *core.Dataset, cols []int) []float64 {
-	var rows [][]string
+	if d.NumClusters() == 0 {
+		return nil
+	}
+	return simil.NormalizeWeights(columnEntropies(d, cols))
+}
+
+// columnEntropies returns the Shannon entropy of each given schema column
+// over one trimmed record per cluster: DatasetWeights before normalization.
+func columnEntropies(d *core.Dataset, cols []int) []float64 {
+	columns := make([][]string, len(cols))
 	d.Clusters(func(c *core.Cluster) bool {
 		r := c.Records[0].Rec
-		vals := make([]string, len(cols))
 		for i, ci := range cols {
-			vals[i] = strings.TrimSpace(r.Values[ci])
+			columns[i] = append(columns[i], strings.TrimSpace(r.Values[ci]))
 		}
-		rows = append(rows, vals)
 		return true
 	})
-	return EntropyWeightsFromRows(rows)
+	entropies := make([]float64, len(cols))
+	for i, col := range columns {
+		entropies[i] = simil.Entropy(col)
+	}
+	return entropies
 }
 
 // AllColumns returns the schema columns scored by the all-attribute
@@ -206,10 +256,7 @@ func Update(d *core.Dataset) {
 // allocation-free scorer with private scratch buffers, so the hot path
 // performs no per-pair allocations.
 func UpdateParallel(d *core.Dataset, workers int) {
-	all := NewScorer(AllColumns(), DatasetWeights(d, AllColumns()))
-	person := NewScorer(PersonColumns(), DatasetWeights(d, PersonColumns()))
-	d.UpdateScoresParallelFactory(core.KindHeteroAll, all.CorePairScorerFactory(), workers)
-	d.UpdateScoresParallelFactory(core.KindHeteroPerson, person.CorePairScorerFactory(), workers)
+	updateOn(d, workers, nil)
 }
 
 // UpdateDelta scores only the clusters a delta apply marked dirty
@@ -219,10 +266,30 @@ func UpdateParallel(d *core.Dataset, workers int) {
 // delta-scoring after each apply matches full scoring bit for bit as long
 // as scores were current before the delta.
 func UpdateDelta(d *core.Dataset, dl *core.Delta, workers int) {
-	all := NewScorer(AllColumns(), DatasetWeights(d, AllColumns()))
-	person := NewScorer(PersonColumns(), DatasetWeights(d, PersonColumns()))
-	d.UpdateScoresParallelFactoryOn(core.KindHeteroAll, all.CorePairScorerFactory(), workers, dl.Dirty())
-	d.UpdateScoresParallelFactoryOn(core.KindHeteroPerson, person.CorePairScorerFactory(), workers, dl.Dirty())
+	updateOn(d, workers, dl.Dirty())
+}
+
+// heteroKinds are the maps updateOn fills, in the scorer's output order.
+var heteroKinds = []string{core.KindHeteroAll, core.KindHeteroPerson}
+
+// updateOn scores both heterogeneity maps of the given clusters (nil: all)
+// in one pass: each pair gets one ValueSim vector over AllColumns, averaged
+// once with the all-column weights and once over the PersonColumns subset
+// with the person weights. The column entropies are computed once and
+// normalized per kind, which gives exactly DatasetWeights of each subset.
+func updateOn(d *core.Dataset, workers int, ncids []string) {
+	all := AllColumns()
+	entropies := columnEntropies(d, all)
+	allPos, personPos := positions(all, all), positions(all, PersonColumns())
+	personEnt := make([]float64, len(personPos))
+	for i, p := range personPos {
+		personEnt[i] = entropies[p]
+	}
+	vs := &vectorScorer{cols: all, kinds: []kindWeights{
+		{pos: allPos, weights: simil.NormalizeWeights(entropies)},
+		{pos: personPos, weights: simil.NormalizeWeights(personEnt)},
+	}}
+	d.UpdateScoresKinds(heteroKinds, vs.newScorer, workers, ncids)
 }
 
 // ClusterHeterogeneity returns the per-cluster heterogeneity (1 - mean pair

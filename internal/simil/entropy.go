@@ -44,22 +44,32 @@ func Entropy(column []string) float64 {
 // by the sum of all entropies, so the weights sum to 1. If every column has
 // zero entropy the weights are uniform.
 func EntropyWeights(columns [][]string) []float64 {
-	weights := make([]float64, len(columns))
-	total := 0.0
+	entropies := make([]float64, len(columns))
 	for i, col := range columns {
-		weights[i] = Entropy(col)
-		total += weights[i]
+		entropies[i] = Entropy(col)
+	}
+	return NormalizeWeights(entropies)
+}
+
+// NormalizeWeights divides each entropy by their sum, accumulated in slice
+// order, in place, and returns the slice: the normalization step of
+// EntropyWeights, for callers that weight several column subsets from one
+// set of entropies. If the entropies sum to zero the weights are uniform.
+func NormalizeWeights(entropies []float64) []float64 {
+	total := 0.0
+	for _, e := range entropies {
+		total += e
 	}
 	if total == 0 {
-		for i := range weights {
-			weights[i] = 1 / float64(len(weights))
+		for i := range entropies {
+			entropies[i] = 1 / float64(len(entropies))
 		}
-		return weights
+		return entropies
 	}
-	for i := range weights {
-		weights[i] /= total
+	for i := range entropies {
+		entropies[i] /= total
 	}
-	return weights
+	return entropies
 }
 
 // WeightedAverage returns the weighted mean of scores under weights. The two

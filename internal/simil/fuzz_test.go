@@ -8,11 +8,13 @@ import (
 // Native fuzz targets for the similarity kernels — the hot loop of the
 // scoring engine. The fuzzed invariants are the metric contracts every
 // caller relies on: results stay in [0, 1] (never NaN or Inf), symmetric
-// measures are symmetric, self-similarity of a non-empty value is 1, and
-// every allocation-free *Into kernel is bit-identical to its public
-// allocating wrapper (the engine mixes both paths and the conformance
-// oracles assert byte-identical curves, so a single bit of drift here
-// breaks the sequential-vs-parallel guarantee downstream).
+// measures are symmetric, self-similarity of every value — the empty one
+// included — is 1 (the heterogeneity scorer's equal-value shortcut returns
+// that 1 without running the kernels), and every allocation-free *Into
+// kernel is bit-identical to its public allocating wrapper (the engine
+// mixes both paths and the conformance oracles assert byte-identical
+// curves, so a single bit of drift here breaks the sequential-vs-parallel
+// guarantee downstream).
 
 // stringKernels are the string measures under fuzz, paired with their
 // scratch variants and contract flags.
@@ -21,7 +23,7 @@ var stringKernels = []struct {
 	plain     func(a, b string) float64
 	into      func(a, b string, sc *Scratch) float64
 	symmetric bool
-	identity  bool // f(a, a) == 1 for non-empty a
+	identity  bool // f(a, a) == 1 for every a, including ""
 }{
 	{"JaroWinkler", JaroWinkler, JaroWinklerInto, true, true},
 	{"DamerauLevenshteinSimilarity", DamerauLevenshteinSimilarity, DamerauLevenshteinSimilarityInto, true, true},
@@ -42,6 +44,8 @@ func FuzzStringKernels(f *testing.F) {
 	f.Add("日本語テスト", "日本语テスト")
 	f.Add("a\x80b", "a\xffb") // invalid UTF-8
 	f.Add("  padded  ", "padded")
+	f.Add("", "")
+	f.Add(".-", "")
 	f.Fuzz(func(t *testing.T, a, b string) {
 		sc := &Scratch{}
 		for _, k := range stringKernels {
@@ -54,7 +58,7 @@ func FuzzStringKernels(f *testing.F) {
 					t.Fatalf("%s not symmetric: (%q,%q)=%v (%q,%q)=%v", k.name, a, b, got, b, a, rev)
 				}
 			}
-			if k.identity && a != "" {
+			if k.identity {
 				if self := k.plain(a, a); self != 1 {
 					t.Fatalf("%s(%q, %q) = %v, want 1", k.name, a, a, self)
 				}

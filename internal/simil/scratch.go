@@ -2,7 +2,8 @@ package simil
 
 // Scratch holds the reusable working memory of the dynamic-programming
 // kernels: rune decodings of both inputs, up to three DP rows, the two
-// match-flag arrays of the Jaro kernel, and four token buffers. One Scratch
+// match-flag arrays of the Jaro kernel, four token buffers and the
+// match-mask table of the bit-parallel OSA kernel. One Scratch
 // serves one goroutine; the parallel scoring engine keeps one per worker so
 // the §6.3/§6.5 hot loop — millions of value comparisons — runs without
 // per-comparison allocations. The zero value is ready to use; buffers grow
@@ -19,6 +20,7 @@ type Scratch struct {
 	ta, tb     []string
 	tla, tlb   []string
 	gj         []gjCand
+	peq        *[128]uint64 // ASCII match masks of the bit-parallel OSA kernel
 }
 
 // appendRunes decodes s into buf (reused, length reset), returning the
@@ -113,8 +115,11 @@ func DamerauLevenshteinInto(a, b string, sc *Scratch) int {
 	return damerauLevenshteinRunes(sc.ra, sc.rb, sc)
 }
 
-// damerauLevenshteinRunes is the OSA Damerau-Levenshtein DP over decoded
-// runes; ra and rb may alias sc.ra and sc.rb.
+// damerauLevenshteinRunes is the OSA Damerau-Levenshtein distance over
+// decoded runes; ra and rb may alias sc.ra and sc.rb. When the shorter input
+// has at most 64 runes — nearly every voter attribute and token — it runs
+// the bit-parallel kernel (osa.go); longer pairs take the DP, which is also
+// the kernel's test reference. Both give the same distance.
 func damerauLevenshteinRunes(ra, rb []rune, sc *Scratch) int {
 	if len(ra) == 0 {
 		return len(rb)
@@ -122,6 +127,19 @@ func damerauLevenshteinRunes(ra, rb []rune, sc *Scratch) int {
 	if len(rb) == 0 {
 		return len(ra)
 	}
+	p, t := ra, rb
+	if len(t) < len(p) {
+		p, t = t, p
+	}
+	if len(p) <= osaMaxPattern {
+		return osaBitParallel(p, t, sc)
+	}
+	return damerauLevenshteinDP(ra, rb, sc)
+}
+
+// damerauLevenshteinDP is the OSA Damerau-Levenshtein DP over non-empty
+// decoded runes, three rows deep.
+func damerauLevenshteinDP(ra, rb []rune, sc *Scratch) int {
 	prev2 := intRow(&sc.r0, len(rb)+1)
 	prev := intRow(&sc.r1, len(rb)+1)
 	cur := intRow(&sc.r2, len(rb)+1)
